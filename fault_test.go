@@ -61,6 +61,38 @@ func TestTransformRegionPanicContainment(t *testing.T) {
 	}
 }
 
+// TestRecoveredPanicsReachPoolTotals: a region panic contained by the pool
+// must be counted in the plan's PoolStats and in the process-wide PoolTotals.
+func TestRecoveredPanicsReachPoolTotals(t *testing.T) {
+	p, err := NewPlan(1024, &Options{Workers: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer p.Close()
+	if !p.IsParallel() {
+		t.Fatalf("1024-point 2-worker plan is not parallel (tree %s)", p.Tree())
+	}
+	x := complexvec.Random(1024, 7)
+	dst := make([]complex128, 1024)
+	before := PoolTotals().RecoveredPanics
+	func() {
+		disarm := faultinject.Arm(faultinject.Config{Worker: 1, PanicAt: 1})
+		defer disarm()
+		defer func() {
+			if recover() == nil {
+				t.Fatal("injected worker panic was swallowed by Forward")
+			}
+		}()
+		p.Forward(dst, x)
+	}()
+	if got := PoolTotals().RecoveredPanics - before; got != 1 {
+		t.Errorf("PoolTotals().RecoveredPanics grew by %d, want 1", got)
+	}
+	if st := p.Snapshot().Pool; st == nil || st.RecoveredPanics < 1 {
+		t.Errorf("plan PoolStats do not count the recovered panic: %+v", st)
+	}
+}
+
 // TestRegionPanicErrorUnwrap: a panic(err) inside a region must stay
 // matchable with errors.Is through the RegionPanicError chain.
 func TestRegionPanicErrorUnwrap(t *testing.T) {

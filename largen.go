@@ -137,9 +137,6 @@ func (p *Plan) planFourStep(tuner *search.Tuner) error {
 	}
 	choice, err := tuner.BestFourStepCtx(context.Background(), n, workers, opt.CacheLineComplex, backend)
 	if err != nil {
-		if backend != nil {
-			backend.Close()
-		}
 		return err
 	}
 	p.fourStep = &fourStepInfo{n1: choice.N1, tile: choice.Tile}
@@ -156,7 +153,6 @@ func (p *Plan) planFourStep(tuner *search.Tuner) error {
 			p.seqExe, err = ir.NewExecutor(seqProg, nil)
 		}
 		if err != nil {
-			backend.Close()
 			p.exe, p.backend, p.fourStep = nil, nil, nil
 			return err
 		}
@@ -168,8 +164,7 @@ func (p *Plan) planFourStep(tuner *search.Tuner) error {
 
 // buildFourStep lowers and compiles the four-step schedule for a fixed
 // (n1, tile) choice: the sequential program into seqExe always, and the
-// worker-partitioned program onto the backend when one is supplied (the
-// backend is closed on failure).
+// worker-partitioned program onto the backend when one is supplied.
 func (p *Plan) buildFourStep(n1, tile int, col, row *exec.Tree, backend smp.Backend) error {
 	opt := p.opt
 	seqProg, err := ir.LowerFourStep(p.n, n1, ir.FourStepConfig{
@@ -179,9 +174,6 @@ func (p *Plan) buildFourStep(n1, tile int, col, row *exec.Tree, backend smp.Back
 		p.seqExe, err = ir.NewExecutor(seqProg, nil)
 	}
 	if err != nil {
-		if backend != nil {
-			backend.Close()
-		}
 		return err
 	}
 	p.fourStep = &fourStepInfo{n1: n1, tile: tile}
@@ -202,6 +194,5 @@ func (p *Plan) buildFourStep(n1, tile int, col, row *exec.Tree, backend smp.Back
 	// The sequential four-step executor is already in place; a parallel
 	// compile failure degrades to sequential service rather than failing
 	// the plan.
-	backend.Close()
 	return nil
 }

@@ -321,22 +321,29 @@ func TestExposeExpvar(t *testing.T) {
 	}
 }
 
-// TestPoolTotalsGrowWithUse: creating and driving a pooled plan must be
-// visible in the process-wide pool aggregate, including after Close.
+// TestPoolTotalsGrowWithUse: driving a pooled plan must be visible in the
+// process-wide pool aggregate, including after Close, and a second plan with
+// the same worker count must reuse the shared team rather than create a
+// pool of its own.
 func TestPoolTotalsGrowWithUse(t *testing.T) {
 	before := PoolTotals()
-	p, err := NewPlan(1024, &Options{Workers: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
 	x := complexvec.Random(1024, 4)
 	y := make([]complex128, 1024)
-	p.Forward(y, x)
-	parallel := p.IsParallel()
-	p.Close()
+	run := func() bool {
+		p, err := NewPlan(1024, &Options{Workers: 2})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer p.Close()
+		p.Forward(y, x)
+		return p.IsParallel()
+	}
+	parallel := run()
+	mid := PoolTotals()
+	run()
 	after := PoolTotals()
-	if after.Pools <= before.Pools {
-		t.Errorf("pool count did not grow: %d → %d", before.Pools, after.Pools)
+	if after.Pools != mid.Pools {
+		t.Errorf("second 2-worker plan created a pool: %d → %d", mid.Pools, after.Pools)
 	}
 	if parallel && after.Regions <= before.Regions {
 		t.Errorf("aggregate regions did not grow: %d → %d", before.Regions, after.Regions)
