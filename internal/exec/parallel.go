@@ -52,9 +52,9 @@ func (s Schedule) String() string {
 // exec proves this dynamically in the cachesim tests.
 //
 // A Parallel plan is safe for concurrent use: all per-call state (stage
-// buffer, per-worker scratch, barrier) lives in execution contexts checked
-// out of a pool, and dispatch through a non-concurrent backend (the pooled
-// spin-barrier substrate) is serialized on an internal mutex.
+// buffer, per-worker scratch, barrier, region body) lives in execution
+// contexts checked out of a pool, and a pooled backend serializes the
+// regions of concurrent calls itself.
 type Parallel struct {
 	n, m, k int
 	p       int
@@ -69,14 +69,6 @@ type Parallel struct {
 	// ctxs pools per-call execution contexts so concurrent Transforms never
 	// share buffers (and the steady state allocates nothing).
 	ctxs sync.Pool
-	// serial marks backends whose Run calls must not overlap; regionMu
-	// serializes dispatch for them, and body/cur are the persistent
-	// parallel-region closure and its per-call context (written under
-	// regionMu, so no closure is allocated per call).
-	serial   bool
-	regionMu sync.Mutex
-	body     func(w int)
-	cur      *parCtx
 	// barrierNs accumulates worker time spent in the inter-stage barrier
 	// (recorded only while metrics are enabled).
 	barrierNs metrics.Counter
@@ -90,6 +82,9 @@ type parCtx struct {
 	scratch  [][]complex128 // per-worker scratch
 	barrier  *smp.SpinBarrier
 	dst, src []complex128 // per-call arguments
+	// body is the region closure bound to this context, built once so a
+	// dispatch allocates nothing.
+	body func(w int)
 }
 
 // ParallelConfig configures NewParallel.
@@ -181,7 +176,6 @@ func NewParallel(n, m int, cfg ParallelConfig) (*Parallel, error) {
 		tw:      twiddle.GlobalCache().Columns(m, k),
 		backend: cfg.Backend,
 		sched:   cfg.Schedule,
-		serial:  !cfg.Backend.Concurrent(),
 	}
 	// Per-worker scratch: stage 1 and stage 2 both run sub-plans, plus an
 	// m-element pre-scale buffer when the stage-2 root is composite and its
@@ -204,6 +198,7 @@ func NewParallel(n, m int, cfg ParallelConfig) (*Parallel, error) {
 			scratch: make([][]complex128, p),
 			barrier: smp.NewSpinBarrier(p),
 		}
+		c.body = func(w int) { pl.runWorker(w, c) }
 		for w := range c.scratch {
 			c.scratch[w] = make([]complex128, need)
 		}
@@ -215,7 +210,6 @@ func NewParallel(n, m int, cfg ParallelConfig) (*Parallel, error) {
 		pl.itersM[w] = scheduleIters(m, cfg.P, w, cfg.Schedule)
 		pl.itersK[w] = scheduleIters(k, cfg.P, w, cfg.Schedule)
 	}
-	pl.body = func(w int) { pl.runWorker(w, pl.cur) }
 	return pl, nil
 }
 
@@ -247,9 +241,9 @@ func (pl *Parallel) Schedule() Schedule { return pl.sched }
 func (pl *Parallel) Trees() (left, right *Tree) { return pl.left.Tree(), pl.right.Tree() }
 
 // Transform computes dst = DFT_n(src). dst == src is allowed. Transform is
-// safe for concurrent use from multiple goroutines; on a non-concurrent
-// backend (the pooled substrate) concurrent calls serialize on the region
-// mutex, on concurrent-safe backends (spawn) they proceed independently.
+// safe for concurrent use from multiple goroutines; on the pooled backend
+// concurrent calls take turns on the pool, on the spawn backend they
+// proceed independently.
 func (pl *Parallel) Transform(dst, src []complex128) {
 	if pl.backend == nil {
 		panic("exec: Transform called on a trace-only plan")
@@ -265,25 +259,12 @@ func (pl *Parallel) Transform(dst, src []complex128) {
 		// pre-created pool workers keep their own label set.
 		pprof.Do(context.Background(),
 			pprof.Labels("spiralfft.region", "multicore-ct", "spiralfft.n", strconv.Itoa(pl.n)),
-			func(context.Context) { pl.dispatch(ctx) })
+			func(context.Context) { pl.backend.Run(ctx.body) })
 	} else {
-		pl.dispatch(ctx)
+		pl.backend.Run(ctx.body)
 	}
 	ctx.dst, ctx.src = nil, nil
 	pl.ctxs.Put(ctx)
-}
-
-// dispatch runs the two-stage region body on the backend.
-func (pl *Parallel) dispatch(ctx *parCtx) {
-	if pl.serial {
-		pl.regionMu.Lock()
-		pl.cur = ctx
-		pl.backend.Run(pl.body)
-		pl.cur = nil
-		pl.regionMu.Unlock()
-	} else {
-		pl.backend.Run(func(w int) { pl.runWorker(w, ctx) })
-	}
 }
 
 // BarrierWait returns the total time workers have spent in the inter-stage

@@ -34,20 +34,14 @@ func whtInPlace(buf []complex128) {
 // WHTPlan executes the Walsh-Hadamard transform WHT_{2^k}, sequentially or
 // with the multicore two-stage schedule (split 2^k = m·q, contiguous
 // µ-aligned blocks per processor). WHT plans are safe for concurrent use:
-// per-call buffers come from a context pool and parallel regions on a
-// non-concurrent backend serialize on an internal mutex.
+// per-call buffers come from a context pool, and a pooled backend
+// serializes the regions of concurrent calls itself.
 type WHTPlan struct {
 	k, n    int
 	m, q    int // parallel split (0 when sequential)
 	p       int
 	backend smp.Backend
 	ctxs    sync.Pool // *whtCtx (parallel plans only)
-	// serial/regionMu/body/cur: region serialization for pooled backends,
-	// mirroring Parallel (body is persistent so dispatch allocates nothing).
-	serial   bool
-	regionMu sync.Mutex
-	body     func(w int)
-	cur      *whtCtx
 }
 
 // whtCtx is the per-call mutable state of one parallel WHT transform.
@@ -56,6 +50,9 @@ type whtCtx struct {
 	scratch  [][]complex128
 	barrier  *smp.SpinBarrier
 	dst, src []complex128
+	// body is the region closure bound to this context, built once so a
+	// dispatch allocates nothing.
+	body func(w int)
 }
 
 // NewWHT builds a WHT plan of size 2^k. For p > 1 it picks the most
@@ -84,19 +81,18 @@ func NewWHT(k, p, mu int, backend smp.Backend) (*WHTPlan, error) {
 	pl.m = m
 	pl.q = n / m
 	pl.backend = backend
-	pl.serial = !backend.Concurrent()
 	pl.ctxs.New = func() any {
 		c := &whtCtx{
 			t:       make([]complex128, n),
 			scratch: make([][]complex128, p),
 			barrier: smp.NewSpinBarrier(p),
 		}
+		c.body = func(w int) { pl.runWorker(w, c) }
 		for w := range c.scratch {
 			c.scratch[w] = make([]complex128, m)
 		}
 		return c
 	}
-	pl.body = func(w int) { pl.runWorker(w, pl.cur) }
 	return pl, nil
 }
 
@@ -121,15 +117,7 @@ func (pl *WHTPlan) Transform(dst, src []complex128) {
 	}
 	ctx := pl.ctxs.Get().(*whtCtx)
 	ctx.dst, ctx.src = dst, src
-	if pl.serial {
-		pl.regionMu.Lock()
-		pl.cur = ctx
-		pl.backend.Run(pl.body)
-		pl.cur = nil
-		pl.regionMu.Unlock()
-	} else {
-		pl.backend.Run(func(w int) { pl.runWorker(w, ctx) })
-	}
+	pl.backend.Run(ctx.body)
 	ctx.dst, ctx.src = nil, nil
 	pl.ctxs.Put(ctx)
 }

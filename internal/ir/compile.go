@@ -21,13 +21,12 @@ import (
 // public plan families execute through it.
 //
 // An Executor is safe for concurrent use: all per-call state (temp buffers,
-// per-worker scratch, barrier) lives in execution contexts checked out of a
-// pool, and dispatch through a non-concurrent backend (the pooled
-// spin-barrier substrate) is serialized on an internal mutex. Programs
-// containing Generic ops are the one exception: their block closures own
-// captured buffers, so the executor serializes every call on such programs
-// regardless of backend (root plans never lower to Generic, so the
-// production paths are unaffected).
+// per-worker scratch, barrier, region body) lives in execution contexts
+// checked out of a pool, and a pooled backend serializes the regions of
+// concurrent calls itself. Programs containing Generic ops are the one
+// exception: their block closures own captured buffers, so the executor
+// serializes every call on such programs regardless of backend (root plans
+// never lower to Generic, so the production paths are unaffected).
 type Executor struct {
 	prog    *Program
 	n, p    int
@@ -41,14 +40,10 @@ type Executor struct {
 	// ctxs pools per-call execution contexts so concurrent Transforms never
 	// share buffers (and the steady state allocates nothing).
 	ctxs sync.Pool
-	// serial marks dispatches that must not overlap: non-concurrent backends,
-	// and any program with Generic ops (captured block buffers). regionMu
-	// serializes them; body/cur are the persistent region closure and its
-	// per-call context, mirroring exec.Parallel.
+	// serial marks programs with Generic ops (captured block buffers),
+	// whose calls must not overlap; regionMu serializes them.
 	serial   bool
 	regionMu sync.Mutex
-	body     func(w int)
-	cur      *execCtx
 	// numBarriers is the per-worker barrier count (every worker carries the
 	// same count); the panic-containment path uses it to drain a panicking
 	// worker's remaining barrier arrivals so the other workers' protocol
@@ -67,6 +62,9 @@ type execCtx struct {
 	scratch  [][]complex128
 	barrier  *smp.SpinBarrier
 	dst, src []complex128
+	// body is the region closure bound to this context, built once so a
+	// dispatch allocates nothing.
+	body func(w int)
 	// cancel, when non-nil, is the TransformCtx context: workers poll it at
 	// region boundaries (after every barrier) and abandon the remaining
 	// regions once it is cancelled, so cancellation latency is one region.
@@ -167,7 +165,7 @@ func NewExecutor(prog *Program, backend smp.Backend) (*Executor, error) {
 	if e.need == 0 {
 		e.need = 1
 	}
-	e.serial = hasGeneric || (backend != nil && !backend.Concurrent())
+	e.serial = hasGeneric
 	p, need, tempLens := prog.P, e.need, prog.Temps
 	e.ctxs.New = func() any {
 		c := &execCtx{
@@ -175,6 +173,7 @@ func NewExecutor(prog *Program, backend smp.Backend) (*Executor, error) {
 			scratch: make([][]complex128, p),
 			barrier: smp.NewSpinBarrier(p),
 		}
+		c.body = func(w int) { e.runWorker(w, c) }
 		for i, ln := range tempLens {
 			c.temps[i] = make([]complex128, ln)
 		}
@@ -183,7 +182,6 @@ func NewExecutor(prog *Program, backend smp.Backend) (*Executor, error) {
 		}
 		return c
 	}
-	e.body = func(w int) { e.runWorker(w, e.cur) }
 	return e, nil
 }
 
@@ -387,11 +385,11 @@ func (e *Executor) run(cctx context.Context, dst, src []complex128) {
 // Serialization state is released via defer so a contained panic cannot
 // leave the executor wedged.
 func (e *Executor) dispatch(ctx *execCtx) {
+	if e.serial {
+		e.regionMu.Lock()
+		defer e.regionMu.Unlock()
+	}
 	if e.p == 1 {
-		if e.serial {
-			e.regionMu.Lock()
-			defer e.regionMu.Unlock()
-		}
 		// Wrap inline panics as *smp.WorkerPanic so the containment
 		// contract is uniform with the backend-dispatched paths.
 		defer func() {
@@ -406,17 +404,7 @@ func (e *Executor) dispatch(ctx *execCtx) {
 		e.runWorker(0, ctx)
 		return
 	}
-	if e.serial {
-		e.regionMu.Lock()
-		defer func() {
-			e.cur = nil
-			e.regionMu.Unlock()
-		}()
-		e.cur = ctx
-		e.backend.Run(e.body)
-	} else {
-		e.backend.Run(func(w int) { e.runWorker(w, ctx) })
-	}
+	e.backend.Run(ctx.body)
 }
 
 // buf resolves a Buf id against the call's context.
